@@ -276,22 +276,13 @@ let run_json () =
   let module Summary = Atomrep_stats.Summary in
   let seed = 42 and n_txns = 200 in
   let n_sites = Runtime.default_config.Runtime.n_sites in
-  (* Per-scheme conflict relations: the locking scheme's conflict tables
-     come from its dynamic dependency relation (Theorem 10), the timestamp
-     schemes from the static one (Theorem 6). Giving every scheme the
-     static relation — the old behavior — made the hybrid and locking rows
-     byte-identical, because the drivers only differ in their conflict
-     tables on this fault-free workload. *)
-  let relation_for scheme =
-    match scheme with
-    | Replicated.Locking -> Dynamic_dep.minimal Queue_type.spec ~max_len:4
-    | Replicated.Hybrid | Replicated.Static ->
-      Static_dep.minimal Queue_type.spec ~max_len:4
-  in
+  (* Per-scheme relations: the dynamic one (Theorem 10) for locking, the
+     static one (Theorem 6) for the timestamp schemes. *)
   let cfg scheme trace =
+    let relation = Atomrep_cc.Scheme.relation scheme Queue_type.spec in
     let objects =
       List.map
-        (fun o -> { o with Runtime.obj_relation = relation_for scheme })
+        (fun o -> { o with Runtime.obj_relation = relation })
         Runtime.default_config.Runtime.objects
     in
     { Runtime.default_config with Runtime.seed; n_txns; scheme; trace; objects }

@@ -1,269 +1,98 @@
 open Atomrep_history
 open Atomrep_spec
-open Atomrep_core
 open Atomrep_clock
 
-type outcome =
+type outcome = Scheme.outcome =
   | Executed of Event.Response.t
   | Blocked of Action.t
   | Rejected of string
 
-let pp_outcome ppf = function
-  | Executed res -> Format.fprintf ppf "Executed %a" Event.Response.pp res
-  | Blocked a -> Format.fprintf ppf "Blocked on %a" Action.pp a
-  | Rejected why -> Format.fprintf ppf "Rejected (%s)" why
+let pp_outcome = Scheme.pp_outcome
 
-module type S = sig
-  type t
-
-  val scheme_name : string
-  val create : Serial_spec.t -> t
-  val begin_action : t -> Action.t -> ts:Lamport.Timestamp.t -> unit
-  val try_operation : t -> Action.t -> Event.Invocation.t -> outcome
-  val commit : t -> Action.t -> ts:Lamport.Timestamp.t -> unit
-  val abort : t -> Action.t -> unit
-  val history : t -> Behavioral.t
-end
-
-type status = Active | Committed of Lamport.Timestamp.t | Aborted
+type status = Active | Committed | Aborted
 
 type action_state = {
   begin_ts : Lamport.Timestamp.t;
-  mutable events : Event.t list; (* execution order *)
+  mutable own : Scheme.entry list; (* seq order *)
   mutable status : status;
 }
 
-type base = {
+type t = {
+  scheme : Scheme.t;
   spec : Serial_spec.t;
   table : Conflict_table.t;
-  actions : action_state Action.Map.t ref;
-  mutable order : Action.t list; (* begin order *)
-  mutable committed_serial : Event.t list; (* commit-timestamp order *)
-  mutable entries : Behavioral.entry list; (* reversed *)
+  mutable actions : action_state Action.Map.t;
+  mutable executed : Scheme.entry list; (* newest first *)
+  mutable committed : (Lamport.Timestamp.t * Scheme.entry list) list;
+      (* commit-timestamp order *)
+  mutable entries : Behavioral.entry list; (* newest first *)
 }
 
-let analysis_len = 4
+let create scheme spec =
+  {
+    scheme;
+    spec;
+    table = Scheme.conflict_table scheme spec;
+    actions = Action.Map.empty;
+    executed = [];
+    committed = [];
+    entries = [];
+  }
 
-let make_base spec table =
-  { spec; table; actions = ref Action.Map.empty; order = []; committed_serial = [];
-    entries = [] }
-
-let state_of base a =
-  match Action.Map.find_opt a !(base.actions) with
+let state_of t a =
+  match Action.Map.find_opt a t.actions with
   | Some s -> s
   | None -> invalid_arg ("Scheduler: unknown action " ^ Action.to_string a)
 
-let base_begin base a ~ts =
-  if Action.Map.mem a !(base.actions) then
-    invalid_arg ("Scheduler: duplicate Begin for " ^ Action.to_string a);
-  base.actions := Action.Map.add a { begin_ts = ts; events = []; status = Active } !(base.actions);
-  base.order <- base.order @ [ a ];
-  base.entries <- Behavioral.Begin a :: base.entries
-
-let require_active base a =
-  let st = state_of base a in
+let require_active t a =
+  let st = state_of t a in
   match st.status with
   | Active -> st
-  | Committed _ | Aborted ->
-    invalid_arg ("Scheduler: action not active: " ^ Action.to_string a)
+  | Committed | Aborted -> invalid_arg ("Scheduler: action not active: " ^ Action.to_string a)
 
-let base_commit base a ~ts =
-  let st = require_active base a in
-  st.status <- Committed ts;
-  base.committed_serial <- base.committed_serial @ st.events;
-  base.entries <- Behavioral.Commit a :: base.entries
+let begin_action t a ~ts =
+  if Action.Map.mem a t.actions then
+    invalid_arg ("Scheduler: duplicate Begin for " ^ Action.to_string a);
+  t.actions <- Action.Map.add a { begin_ts = ts; own = []; status = Active } t.actions;
+  t.entries <- Behavioral.Begin a :: t.entries
 
-let base_abort base a =
-  let st = require_active base a in
+let try_operation t a inv =
+  let st = require_active t a in
+  let undecided (e : Scheme.entry) =
+    (not (Action.equal e.action a)) && (state_of t e.action).status = Active
+  in
+  let view =
+    {
+      Scheme.committed = List.concat_map snd t.committed;
+      tentative = List.rev (List.filter undecided t.executed);
+      own = st.own;
+      begin_ts = st.begin_ts;
+    }
+  in
+  let outcome = Scheme.decide t.scheme t.spec t.table view inv in
+  (match outcome with
+   | Executed res ->
+     let e =
+       { Scheme.action = a; begin_ts = st.begin_ts; seq = List.length st.own;
+         event = Event.make inv res }
+     in
+     st.own <- st.own @ [ e ];
+     t.executed <- e :: t.executed;
+     t.entries <- Behavioral.Exec (e.event, a) :: t.entries
+   | Blocked _ | Rejected _ -> ());
+  outcome
+
+let commit t a ~ts =
+  let st = require_active t a in
+  st.status <- Committed;
+  t.committed <-
+    List.merge (fun (t1, _) (t2, _) -> Lamport.Timestamp.compare t1 t2) t.committed
+      [ (ts, st.own) ];
+  t.entries <- Behavioral.Commit a :: t.entries
+
+let abort t a =
+  let st = require_active t a in
   st.status <- Aborted;
-  base.entries <- Behavioral.Abort a :: base.entries
+  t.entries <- Behavioral.Abort a :: t.entries
 
-let base_history base = List.rev base.entries
-
-let record base st a ev =
-  st.events <- st.events @ [ ev ];
-  base.entries <- Behavioral.Exec (ev, a) :: base.entries
-
-(* First other active action holding an event that the predicate flags. *)
-let find_conflict base a flagged =
-  List.find_opt
-    (fun b ->
-      (not (Action.equal a b))
-      &&
-      let st = state_of base b in
-      (match st.status with Active -> true | Committed _ | Aborted -> false)
-      && List.exists flagged st.events)
-    base.order
-
-let run_state spec events =
-  List.fold_left
-    (fun state ev ->
-      match state with
-      | None -> None
-      | Some s -> Serial_spec.apply_event spec s ev)
-    (Some spec.Serial_spec.initial) events
-
-(* Shared shape of the two lock-based schemes: a conflict predicate guards
-   the operation, and the response is chosen against the committed prefix
-   (in commit-timestamp order) extended with the action's own events. *)
-let lock_based_try base a inv ~related =
-  let st = require_active base a in
-  match find_conflict base a (fun e -> related inv e) with
-  | Some b -> Blocked b
-  | None ->
-    (match run_state base.spec (base.committed_serial @ st.events) with
-     | None ->
-       (* The committed prefix is maintained legal; own events extend it
-          legally by construction. *)
-       assert false
-     | Some state ->
-       (match Serial_spec.responses base.spec state inv with
-        | [] -> Rejected "no legal response"
-        | (res, _) :: _ ->
-          let ev = Event.make inv res in
-          record base st a ev;
-          Executed res))
-
-module Locking = struct
-  type t = base
-
-  let scheme_name = "locking"
-
-  let create spec =
-    let relation = Dynamic_dep.minimal spec ~max_len:analysis_len in
-    make_base spec (Conflict_table.of_relation relation)
-
-  let begin_action = base_begin
-
-  let try_operation t a inv =
-    (* Conflict = non-commutativity: the dynamic relation is symmetric, so
-       [depends] suffices, but the symmetric closure is used for clarity. *)
-    lock_based_try t a inv ~related:(Conflict_table.related t.table)
-
-  let commit t a ~ts = base_commit t a ~ts
-  let abort = base_abort
-  let history = base_history
-end
-
-module Hybrid_ts = struct
-  type t = base
-
-  let scheme_name = "hybrid"
-
-  let create spec =
-    (* The minimal static relation is a hybrid dependency relation
-       (Theorem 4) and is computable in closed form; types whose minimal
-       hybrid relations are strictly smaller (e.g. PROM) get the benefit
-       through the projection: pairs like Write/Write are absent. *)
-    let relation = Static_dep.minimal spec ~max_len:analysis_len in
-    make_base spec (Conflict_table.of_relation relation)
-
-  let begin_action = base_begin
-
-  let try_operation t a inv =
-    lock_based_try t a inv ~related:(Conflict_table.related t.table)
-
-  let commit t a ~ts = base_commit t a ~ts
-  let abort = base_abort
-  let history = base_history
-end
-
-module Static_ts = struct
-  type t = base
-
-  let scheme_name = "static"
-
-  let create spec =
-    let relation = Static_dep.minimal spec ~max_len:analysis_len in
-    make_base spec (Conflict_table.of_relation relation)
-
-  let begin_action = base_begin
-
-  (* Actions ordered by Begin timestamp; [a]'s new event is inserted at
-     [a]'s position and the whole timeline must stay legal. *)
-  let timeline t ~before_of ~including =
-    let ordered =
-      List.filter
-        (fun b ->
-          let st = state_of t b in
-          (match st.status with Aborted -> false | Active | Committed _ -> true)
-          && including b st)
-        t.order
-      |> List.sort (fun b c ->
-             Lamport.Timestamp.compare (state_of t b).begin_ts (state_of t c).begin_ts)
-    in
-    List.concat_map (fun b -> before_of b (state_of t b)) ordered
-
-  let try_operation t a inv =
-    let st = require_active t a in
-    let my_ts = st.begin_ts in
-    (* Block on related tentative events of earlier-timestamped actions:
-       the operation's outcome depends on whether they commit. *)
-    let earlier_related e_owner =
-      Lamport.Timestamp.compare (state_of t e_owner).begin_ts my_ts < 0
-    in
-    let blocking =
-      List.find_opt
-        (fun b ->
-          (not (Action.equal a b))
-          &&
-          let stb = state_of t b in
-          (match stb.status with Active -> true | Committed _ | Aborted -> false)
-          && earlier_related b
-          && List.exists (fun e -> Conflict_table.related t.table inv e) stb.events)
-        t.order
-    in
-    match blocking with
-    | Some b -> Blocked b
-    | None ->
-      (* Response from the committed prefix strictly before [a] plus [a]'s
-         own events. *)
-      let prefix =
-        timeline t
-          ~including:(fun b stb ->
-            Action.equal a b
-            || (match stb.status with
-                | Committed _ -> Lamport.Timestamp.compare stb.begin_ts my_ts < 0
-                | Active | Aborted -> false))
-          ~before_of:(fun _ stb -> stb.events)
-      in
-      (match run_state t.spec prefix with
-       | None -> Rejected "inconsistent timeline"
-       | Some state ->
-         let candidates = Serial_spec.responses t.spec state inv in
-         (* Validate each candidate against the full non-aborted timeline
-            with the event in place; reject the operation (forcing an
-            abort) if none survives — the timestamp arrived "too late". *)
-         let full_with ev =
-           timeline t
-             ~including:(fun _ _ -> true)
-             ~before_of:(fun b stb ->
-               if Action.equal a b then stb.events @ [ ev ] else stb.events)
-         in
-         let viable =
-           List.find_opt
-             (fun (res, _) ->
-               let ev = Event.make inv res in
-               match run_state t.spec (full_with ev) with
-               | Some _ -> true
-               | None -> false)
-             candidates
-         in
-         (match viable with
-          | None -> Rejected "timestamp order violation"
-          | Some (res, _) ->
-            let ev = Event.make inv res in
-            record t st a ev;
-            Executed res))
-
-  let commit t a ~ts = base_commit t a ~ts
-  let abort = base_abort
-  let history = base_history
-end
-
-let all : (string * (module S)) list =
-  [
-    (Locking.scheme_name, (module Locking));
-    (Static_ts.scheme_name, (module Static_ts));
-    (Hybrid_ts.scheme_name, (module Hybrid_ts));
-  ]
+let history t = List.rev t.entries

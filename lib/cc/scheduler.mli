@@ -1,62 +1,45 @@
-(** Local concurrency-control schedulers.
+(** The single-site concurrency-control scheduler.
 
-    Each scheduler mediates the operations of concurrent actions on one
-    object and guarantees one of the paper's local atomicity properties for
-    the behavioral history it generates:
-
-    - {!module:Locking} — generalized type-specific two-phase locking
-      (Schwarz–Spector [26]; Argus, TABS): conflicts are non-commuting
-      operation pairs; guarantees {e strong dynamic} atomicity.
-    - {!module:Static_ts} — multiversion timestamp ordering on Begin
-      timestamps (Reed [25]; Swallow): guarantees {e static} atomicity.
-    - {!module:Hybrid_ts} — locking while active plus commit-time
-      timestamps (Weihl [28], Avalon-style): guarantees {e hybrid}
-      atomicity.
-
-    The same decision logic is reused by the replicated front-ends
-    ({!Atomrep_replica}); these local schedulers are the single-site
-    reference implementations, and the test suite checks every history they
-    generate with {!Atomrep_atomicity.Atomicity.check}. *)
+    A scheduler mediates the operations of concurrent actions on one object
+    under one of the {!Scheme}s. It keeps the action table (Begin
+    timestamps, executed entries, commit order) and hands
+    {!Scheme.decide} the same input the replicated front-end
+    ({!Atomrep_replica.Replicated}) builds from a view: committed entries
+    in commit order, other actions' undecided entries in execution order,
+    the caller's own entries and its Begin timestamp. It is the single-site
+    reference: the test suite checks every history it generates with
+    {!Atomrep_atomicity.Atomicity.check}, and checks that a one-site,
+    fault-free replicated object returns the same outcome at every step. *)
 
 open Atomrep_history
 open Atomrep_spec
 open Atomrep_clock
 
-type outcome =
+type outcome = Scheme.outcome =
   | Executed of Event.Response.t
   | Blocked of Action.t (** must wait for the named action to finish *)
   | Rejected of string (** must abort: timestamp or validation failure *)
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-module type S = sig
-  type t
+type t
 
-  val scheme_name : string
+val create : Scheme.t -> Serial_spec.t -> t
+(** A fresh object with the scheme's default conflict table
+    ({!Scheme.conflict_table}). *)
 
-  val create : Serial_spec.t -> t
-  (** A fresh object with the scheduler's default conflict information,
-      derived from the specification by bounded analysis. *)
+val begin_action : t -> Action.t -> ts:Lamport.Timestamp.t -> unit
+(** Register an action; [ts] is its Begin timestamp. *)
 
-  val begin_action : t -> Action.t -> ts:Lamport.Timestamp.t -> unit
-  (** Register an action; [ts] is its Begin timestamp. *)
+val try_operation : t -> Action.t -> Event.Invocation.t -> outcome
+(** Attempt one operation. [Executed res] records the event; the other
+    outcomes record nothing. *)
 
-  val try_operation : t -> Action.t -> Event.Invocation.t -> outcome
-  (** Attempt one operation. [Executed res] records the event; the other
-      outcomes record nothing. *)
+val commit : t -> Action.t -> ts:Lamport.Timestamp.t -> unit
+(** Commit with the given Commit timestamp; committed entries serialize in
+    Commit-timestamp order. *)
 
-  val commit : t -> Action.t -> ts:Lamport.Timestamp.t -> unit
-  (** Commit with the given Commit timestamp (commit timestamps must be
-      issued in increasing order across actions of one object). *)
+val abort : t -> Action.t -> unit
 
-  val abort : t -> Action.t -> unit
-
-  val history : t -> Behavioral.t
-  (** The behavioral history generated so far, for atomicity checking. *)
-end
-
-module Locking : S
-module Static_ts : S
-module Hybrid_ts : S
-
-val all : (string * (module S)) list
+val history : t -> Behavioral.t
+(** The behavioral history generated so far, for atomicity checking. *)

@@ -385,11 +385,6 @@ let e7_doublebuffer () =
 (* E8 — replicated-object simulation under faults                        *)
 (* ------------------------------------------------------------------ *)
 
-let scheme_relation scheme spec =
-  match scheme with
-  | Replicated.Locking -> Dynamic_dep.minimal spec ~max_len:4
-  | Replicated.Static | Replicated.Hybrid -> Static_dep.minimal spec ~max_len:4
-
 let e8_simulation () =
   section "E8 (section 3.2): replicated queue on the simulator, under faults";
   let table =
@@ -418,7 +413,7 @@ let e8_simulation () =
                   {
                     Runtime.obj_name = "queue";
                     obj_spec = Queue_type.spec;
-                    obj_relation = scheme_relation scheme Queue_type.spec;
+                    obj_relation = Atomrep_cc.Scheme.relation scheme Queue_type.spec;
                     obj_assignment = Runtime.default_queue_assignment ~n_sites:3;
             obj_members = None;
                   };
@@ -533,7 +528,7 @@ let e9_concurrency_sim () =
   List.iter
     (fun scheme ->
       run scheme Prom.spec
-        (scheme_relation scheme Prom.spec)
+        (Atomrep_cc.Scheme.relation scheme Prom.spec)
         (majority [ "Read"; "Seal"; "Write" ])
         prom_script "PROM writes" table)
     [ Replicated.Hybrid; Replicated.Static; Replicated.Locking ];
@@ -543,7 +538,7 @@ let e9_concurrency_sim () =
   List.iter
     (fun scheme ->
       run scheme Counter.spec
-        (scheme_relation scheme Counter.spec)
+        (Atomrep_cc.Scheme.relation scheme Counter.spec)
         (majority [ "Inc"; "Dec"; "Read" ])
         counter_script "Counter inc/dec" table)
     [ Replicated.Hybrid; Replicated.Static; Replicated.Locking ];
@@ -552,7 +547,7 @@ let e9_concurrency_sim () =
   List.iter
     (fun scheme ->
       run scheme Queue_type.spec
-        (scheme_relation scheme Queue_type.spec)
+        (Atomrep_cc.Scheme.relation scheme Queue_type.spec)
         (majority [ "Enq"; "Deq" ])
         queue_script "Queue enq/deq" table)
     [ Replicated.Hybrid; Replicated.Static; Replicated.Locking ];

@@ -8,12 +8,9 @@ open Atomrep_txn
 module Trace = Atomrep_obs.Trace
 module Wal = Atomrep_store.Wal
 
-type scheme = Hybrid | Static | Locking
+type scheme = Scheme.t = Hybrid | Static | Locking
 
-let scheme_name = function
-  | Hybrid -> "hybrid"
-  | Static -> "static"
-  | Locking -> "locking"
+let scheme_name = Scheme.name
 
 let property_of_scheme = function
   | Hybrid -> Atomrep_atomicity.Atomicity.Hybrid
@@ -122,26 +119,11 @@ let create ~name ~spec ~scheme ~relation ~assignment ~net ?members
               (Trace.emit trc ~site
                  (Trace.Repo_resolve { txn = Action.to_string action; committed }))))
     repos;
-  (* The conflict table is where the schemes genuinely differ (paper, §5):
-     hybrid and static lock on the dependency relation — Enq need not
-     conflict with Enq because timestamp order resolves them — while a
-     locking scheme serializes in commit order and so must conflict every
-     non-commuting pair (the dynamic dependency relation, Theorem 10).
-     Locking on the weaker dependency table admits concurrent Enqs whose
-     commit order can contradict the timestamp order later Deqs answer
-     from, which is exactly a dynamic-atomicity violation. *)
-  let table =
-    match scheme with
-    | Hybrid | Static -> Conflict_table.of_relation relation
-    | Locking ->
-      Conflict_table.of_relation
-        (Atomrep_core.Dynamic_dep.minimal spec ~max_len:4)
-  in
   {
     name;
     spec;
     scheme;
-    table;
+    table = Scheme.conflict_table ~relation scheme spec;
     constraints = Op_constraint.of_relation relation;
     current = Epoch.bootstrap ~n_sites:(Network.n_sites net) ?members assignment;
     net;
@@ -174,106 +156,34 @@ let max_final t =
 let own_entries t action =
   Option.value (Hashtbl.find_opt t.own action) ~default:[]
 
-let run_state spec events =
-  List.fold_left
-    (fun state ev ->
-      match state with
-      | None -> None
-      | Some s -> Serial_spec.apply_event spec s ev)
-    (Some spec.Serial_spec.initial) events
-
-(* Strip the caller's own entries out of a view: the front-end's per-action
-   cache is authoritative for them (an initial quorum need not intersect
-   the action's own final quorums). *)
-let without_action (view : View.t) action =
-  {
-    View.committed =
-      List.filter (fun (_, e) -> not (Action.equal e.Log.action action)) view.committed;
-    tentative =
-      List.filter (fun e -> not (Action.equal e.Log.action action)) view.tentative;
-  }
-
+(* The scheme rule lives in [Scheme.decide]; the front-end's part is to
+   hand it the view without the caller's own entries (the per-action cache
+   is authoritative for those: an initial quorum need not intersect the
+   action's own final quorums), converted in one pass. *)
 let decide t ~(txn : Txn.t) (view : View.t) inv =
   let action = txn.action in
-  let view = without_action view action in
-  let own = own_entries t action in
-  let own_events =
-    List.sort (fun e1 e2 -> Int.compare e1.Log.seq e2.Log.seq) own
-    |> List.map (fun e -> e.Log.event)
+  let convert (e : Log.entry) =
+    { Scheme.action = e.action; begin_ts = e.begin_ts; seq = e.seq; event = e.event }
   in
-  match t.scheme with
-  | Hybrid | Locking ->
-    (* Both lock-style schemes: block on related tentative entries, then
-       choose a response against committed (commit-timestamp order) plus
-       own events. They differ only in the conflict table installed. *)
-    (match
-       View.tentative_conflicting view ~me:action (fun e ->
-           Conflict_table.related t.table inv e.Log.event)
-     with
-     | Some e -> Error (Blocked_on e.Log.action)
-     | None ->
-       (match run_state t.spec (View.committed_events view @ own_events) with
-        | None -> Error (Rejected "view reconstruction failed")
-        | Some state ->
-          (match Serial_spec.responses t.spec state inv with
-           | [] -> Error (Rejected "no legal response")
-           | (res, _) :: _ -> Ok res)))
-  | Static ->
-    let my_bts = txn.begin_ts in
-    (* Block on related tentative entries of earlier-timestamped actions. *)
-    (match
-       View.tentative_conflicting view ~me:action (fun e ->
-           Lamport.Timestamp.compare e.Log.begin_ts my_bts < 0
-           && Conflict_table.related t.table inv e.Log.event)
-     with
-     | Some e -> Error (Blocked_on e.Log.action)
-     | None ->
-       (* Response from committed entries strictly before my timestamp,
-          plus my own events. *)
-       let prefix_view =
-         {
-           View.committed =
-             List.filter
-               (fun (_, e) -> Lamport.Timestamp.compare e.Log.begin_ts my_bts < 0)
-               view.View.committed;
-           tentative = [];
-         }
-       in
-       let prefix =
-         View.static_timeline prefix_view ~insert:None ~include_tentative:false
-         @ own_events
-       in
-       (match run_state t.spec prefix with
-        | None -> Error (Rejected "inconsistent timeline")
-        | Some state ->
-          let candidates = Serial_spec.responses t.spec state inv in
-          let seq = List.length own in
-          (* Validate candidates against the full timeline (committed and
-             tentative, own events included at my position). *)
-          let own_keyed =
-            List.map (fun e -> ((e.Log.begin_ts, e.Log.seq), e.Log.event)) own
-          in
-          let viable =
-            List.find_opt
-              (fun (res, _) ->
-                let others =
-                  List.map
-                    (fun (e : Log.entry) -> ((e.begin_ts, e.seq), e.event))
-                    (List.map snd view.View.committed @ view.View.tentative)
-                in
-                let timeline =
-                  others @ own_keyed @ [ ((my_bts, seq), Event.make inv res) ]
-                  |> List.sort (fun ((b1, s1), _) ((b2, s2), _) ->
-                         let c = Lamport.Timestamp.compare b1 b2 in
-                         if c <> 0 then c else Int.compare s1 s2)
-                  |> List.map snd
-                in
-                Option.is_some (run_state t.spec timeline))
-              candidates
-          in
-          (match viable with
-           | None -> Error (Rejected "timestamp order violation")
-           | Some (res, _) -> Ok res)))
+  let other (e : Log.entry) =
+    if Action.equal e.action action then None else Some (convert e)
+  in
+  let own =
+    List.sort (fun e1 e2 -> Int.compare e1.Log.seq e2.Log.seq) (own_entries t action)
+  in
+  match
+    Scheme.decide t.scheme t.spec t.table
+      {
+        Scheme.committed = List.filter_map (fun (_, e) -> other e) view.View.committed;
+        tentative = List.filter_map other view.View.tentative;
+        own = List.map convert own;
+        begin_ts = txn.begin_ts;
+      }
+      inv
+  with
+  | Scheme.Executed res -> Ok res
+  | Scheme.Blocked a -> Error (Blocked_on a)
+  | Scheme.Rejected why -> Error (Rejected why)
 
 type read_reply = Busy of Action.t | Logs of Log.t | Stale_epoch of int
 

@@ -7,17 +7,15 @@
     timestamped entry, and sends the update to a final quorum of
     repositories.
 
-    The synchronization-conflict rule is the concurrency-control scheme:
-
-    - [Hybrid]: committed entries are serialized by commit timestamp;
-      tentative entries of other actions whose operations are related to
-      the invocation under the object's dependency relation block it.
-    - [Locking]: the same structure with non-commutativity conflicts
-      (type-specific two-phase locking; strong dynamic atomicity).
-    - [Static]: entries are serialized by Begin timestamp; responses are
-      computed at the invoking action's position and rejected if the
-      insertion invalidates later-timestamped entries (multiversion
-      timestamp ordering; static atomicity).
+    The synchronization-conflict rule is the concurrency-control scheme,
+    {!Atomrep_cc.Scheme}: [Hybrid] and [Locking] block on related tentative
+    entries and serialize after the committed entries in commit-timestamp
+    order (they differ in the conflict table, {!Atomrep_cc.Scheme.conflict_table});
+    [Static] serializes by Begin timestamp and rejects responses that
+    invalidate later-timestamped entries. The front-end strips the caller's
+    own entries from the classified view and calls
+    {!Atomrep_cc.Scheme.decide}; the single-site {!Atomrep_cc.Scheduler}
+    calls the same function.
 
     Front-ends are co-located with client sites (the paper places one at
     each client's site: object availability is dominated by repository
@@ -33,9 +31,10 @@ open Atomrep_quorum
 open Atomrep_sim
 open Atomrep_txn
 
-type scheme = Hybrid | Static | Locking
+type scheme = Atomrep_cc.Scheme.t = Hybrid | Static | Locking
 
 val scheme_name : scheme -> string
+(** {!Atomrep_cc.Scheme.name}. *)
 
 val property_of_scheme : scheme -> Atomrep_atomicity.Atomicity.property
 (** The local atomicity property each scheme guarantees. *)

@@ -1,4 +1,3 @@
-open Atomrep_history
 open Atomrep_clock
 
 type t = {
@@ -32,16 +31,6 @@ let classify log =
 
 let committed_events t = List.map (fun (_, e) -> e.Log.event) t.committed
 
-let events_of_action t action =
-  let mine =
-    List.filter_map
-      (fun (_, e) -> if Action.equal e.Log.action action then Some e else None)
-      t.committed
-    @ List.filter (fun e -> Action.equal e.Log.action action) t.tentative
-  in
-  List.sort (fun e1 e2 -> Int.compare e1.Log.seq e2.Log.seq) mine
-  |> List.map (fun e -> e.Log.event)
-
 let static_timeline t ~insert ~include_tentative =
   let base =
     List.map (fun (_, e) -> e) t.committed
@@ -61,8 +50,3 @@ let static_timeline t ~insert ~include_tentative =
       if c <> 0 then c else Int.compare s1 s2)
     keyed
   |> List.map snd
-
-let tentative_conflicting t ~me flagged =
-  List.find_opt
-    (fun (e : Log.entry) -> (not (Action.equal e.action me)) && flagged e)
-    t.tentative

@@ -16,7 +16,7 @@ let apply_event spec s (e : Event.t) =
   | [] -> None
   | (_, s') :: _ -> Some s'
 
-let run spec events =
+let run_from spec s events =
   let rec go s = function
     | [] -> Some s
     | e :: rest ->
@@ -24,19 +24,11 @@ let run spec events =
        | None -> None
        | Some s' -> go s' rest)
   in
-  go spec.initial events
-
-let legal spec events = Option.is_some (run spec events)
-
-let legal_from spec s events =
-  let rec go s = function
-    | [] -> true
-    | e :: rest ->
-      (match apply_event spec s e with
-       | None -> false
-       | Some s' -> go s' rest)
-  in
   go s events
+
+let run spec events = run_from spec spec.initial events
+let legal spec events = Option.is_some (run spec events)
+let legal_from spec s events = Option.is_some (run_from spec s events)
 
 let enumerate spec ~max_len =
   (* Breadth-first expansion of the legal-history tree over the invocation

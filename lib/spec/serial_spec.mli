@@ -32,9 +32,12 @@ val apply_event : t -> Value.t -> Event.t -> Value.t option
     admit several next states for one response; the first is returned, and
     specs are required to make (state, event) -> next state deterministic. *)
 
-val run : t -> Event.t list -> Value.t option
-(** Fold [apply_event] from the initial state; [None] on the first illegal
+val run_from : t -> Value.t -> Event.t list -> Value.t option
+(** Fold [apply_event] from the given state; [None] on the first illegal
     event. *)
+
+val run : t -> Event.t list -> Value.t option
+(** [run_from] the initial state. *)
 
 val legal : t -> Event.t list -> bool
 (** Is the serial history legal (included in the specification)? *)

@@ -224,11 +224,12 @@ let prop_relation_union_still_dependency =
 
 (* Drive a local scheduler with random interleavings; whatever it lets
    through must satisfy its scheme's property. *)
-let drive_scheduler (type a) (module S : Atomrep_cc.Scheduler.S with type t = a) spec seed =
+let drive_scheduler scheme spec seed =
   let open Atomrep_cc in
   let open Atomrep_clock in
+  let module S = Scheduler in
   let rng = Atomrep_stats.Rng.create seed in
-  let t = S.create spec in
+  let t = S.create scheme spec in
   let n_actions = 2 + Atomrep_stats.Rng.int rng 2 in
   let clock = ref 0 in
   let tick () =
@@ -268,22 +269,122 @@ let prop_locking_scheduler_dynamic =
   QCheck2.Test.make ~name:"locking scheduler yields dynamic atomic histories" ~count:120
     QCheck2.Gen.(pair (oneofl scheduler_specs) nat)
     (fun (spec, seed) ->
-      let h = drive_scheduler (module Atomrep_cc.Scheduler.Locking) spec seed in
+      let h = drive_scheduler Atomrep_cc.Scheme.Locking spec seed in
       Atomicity.is_dynamic_atomic spec h)
 
 let prop_static_scheduler_static =
   QCheck2.Test.make ~name:"static scheduler yields static atomic histories" ~count:120
     QCheck2.Gen.(pair (oneofl scheduler_specs) nat)
     (fun (spec, seed) ->
-      let h = drive_scheduler (module Atomrep_cc.Scheduler.Static_ts) spec seed in
+      let h = drive_scheduler Atomrep_cc.Scheme.Static spec seed in
       Atomicity.is_static_atomic spec h)
 
 let prop_hybrid_scheduler_hybrid =
   QCheck2.Test.make ~name:"hybrid scheduler yields hybrid atomic histories" ~count:120
     QCheck2.Gen.(pair (oneofl scheduler_specs) nat)
     (fun (spec, seed) ->
-      let h = drive_scheduler (module Atomrep_cc.Scheduler.Hybrid_ts) spec seed in
+      let h = drive_scheduler Atomrep_cc.Scheme.Hybrid spec seed in
       Atomicity.is_hybrid_atomic spec h)
+
+(* Each (scheme, spec) relation is derived once: Static_dep.minimal on
+   Bank_account costs more than the rest of a case. *)
+let differential_relation =
+  let cache = Hashtbl.create 16 in
+  fun scheme (spec : Serial_spec.t) ->
+    let key = (scheme, spec.name) in
+    match Hashtbl.find_opt cache key with
+    | Some r -> r
+    | None ->
+      let r = Atomrep_cc.Scheme.relation scheme spec in
+      Hashtbl.add cache key r;
+      r
+
+(* A one-site, fault-free replicated object and the single-site scheduler
+   run the same random schedule (begins, operations, commits and aborts
+   with increasing timestamps). Both hand their state to [Scheme.decide],
+   so every operation must agree: the same response, the same blocker, or
+   the same rejection. *)
+let differential scheme spec seed =
+  let open Atomrep_cc in
+  let open Atomrep_clock in
+  let open Atomrep_replica in
+  let module Rng = Atomrep_stats.Rng in
+  let module Engine = Atomrep_sim.Engine in
+  let rng = Rng.create seed in
+  let sched = Scheduler.create scheme spec in
+  let engine = Engine.create ~seed in
+  let net = Atomrep_sim.Network.create engine ~n_sites:1 () in
+  let assignment =
+    List.map (fun (inv : Event.Invocation.t) -> inv.op) spec.Serial_spec.invocations
+    |> List.sort_uniq String.compare
+    |> List.map (fun op -> (op, { Atomrep_quorum.Assignment.initial = 1; final = 1 }))
+    |> Atomrep_quorum.Assignment.make ~n_sites:1
+  in
+  let obj =
+    Replicated.create ~name:"obj" ~spec ~scheme ~relation:(differential_relation scheme spec)
+      ~assignment ~net ()
+  in
+  let clock = Lamport.create ~site:0 in
+  let n_actions = 2 + Rng.int rng 3 in
+  let status = Array.make n_actions `Fresh in
+  let finish i a record =
+    (match record with
+     | Log.Commit_record (_, ts) -> Scheduler.commit sched a ~ts
+     | _ -> Scheduler.abort sched a);
+    Replicated.broadcast_status obj record ~reachable_from:0;
+    Engine.run engine;
+    status.(i) <- `Done
+  in
+  let show = function
+    | Some (Replicated.Done res) -> Format.asprintf "Done %a" Event.Response.pp res
+    | Some (Replicated.Blocked_on b) -> "Blocked_on " ^ Action.to_string b
+    | Some (Replicated.Rejected why) -> "Rejected " ^ why
+    | Some (Replicated.Unavailable why) -> "Unavailable " ^ why
+    | None -> "no reply"
+  in
+  for step = 1 to 16 do
+    let i = Rng.int rng n_actions in
+    let a = Action.of_int i in
+    match status.(i) with
+    | `Fresh ->
+      let ts = Lamport.tick clock in
+      Scheduler.begin_action sched a ~ts;
+      status.(i) <- `Active (Atomrep_txn.Txn.create ~action:a ~begin_ts:ts ~home_site:0)
+    | `Active txn ->
+      (match Rng.int rng 4 with
+       | 0 -> finish i a (Log.Commit_record (a, Lamport.tick clock))
+       | 1 -> finish i a (Log.Abort_record a)
+       | _ ->
+         let inv = Rng.pick_list rng spec.Serial_spec.invocations in
+         let expected = Scheduler.try_operation sched a inv in
+         let got = ref None in
+         Replicated.execute obj ~txn ~clock inv ~k:(fun r -> got := Some r);
+         Engine.run engine;
+         let same =
+           match (expected, !got) with
+           | Scheduler.Executed res, Some (Replicated.Done res') ->
+             Event.Response.equal res res'
+           | Scheduler.Blocked b, Some (Replicated.Blocked_on b') -> Action.equal b b'
+           | Scheduler.Rejected why, Some (Replicated.Rejected why') -> String.equal why why'
+           | _ -> false
+         in
+         if not same then
+           QCheck2.Test.fail_reportf "%s, step %d, %s %s: scheduler %a, replicated %s"
+             spec.Serial_spec.name step (Action.to_string a) (Event.Invocation.to_string inv)
+             Scheduler.pp_outcome expected (show !got);
+         (match expected with
+          | Scheduler.Rejected _ -> finish i a (Log.Abort_record a)
+          | Scheduler.Executed _ | Scheduler.Blocked _ -> ()))
+    | `Done -> ()
+  done;
+  true
+
+let prop_differential scheme =
+  QCheck2.Test.make
+    ~name:("1-site replicated object agrees with scheduler: " ^ Atomrep_cc.Scheme.name scheme)
+    ~count:60
+    QCheck2.Gen.(pair (oneofl (Bank_account.spec :: scheduler_specs)) nat)
+    (fun (spec, seed) -> differential scheme spec seed)
 
 let prop_runtime_random_seeds_atomic =
   QCheck2.Test.make ~name:"replicated runtime atomic across random seeds" ~count:8
@@ -331,6 +432,9 @@ let suites =
           prop_locking_scheduler_dynamic;
           prop_static_scheduler_static;
           prop_hybrid_scheduler_hybrid;
+          prop_differential Atomrep_cc.Scheme.Hybrid;
+          prop_differential Atomrep_cc.Scheme.Static;
+          prop_differential Atomrep_cc.Scheme.Locking;
           prop_runtime_random_seeds_atomic;
           prop_rng_int_uniform_support;
         ] );
